@@ -106,8 +106,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed bases; exact
-    for every n below 3.3e24, far beyond anything the scans touch)."""
+    """Deterministic primality test (Miller-Rabin with the prime bases 2..37;
+    exact below 3.18e23 by Sorenson-Webster 2015, far beyond the scans)."""
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -114,6 +114,8 @@ def _scan_cell(cell) -> list[CongruenceReport]:
 
 
 def cmd_scan(args) -> int:
+    if args.jobs < 1:
+        raise InvalidArgument(f"--jobs must be >= 1, got {args.jobs}")
     if args.a_min > args.a_max or args.b_min > args.b_max:
         raise InvalidArgument("empty A or B range")
     if args.n_min > args.n_max or args.n_min < 1:

@@ -156,7 +156,8 @@ def verify_corollary_fib(p: int) -> CongruenceReport:
     if p < 5 or not is_prime(p):
         raise InvalidArgument(f"p must be a prime >= 5, got {p}")
     n = rank_of_apparition(FIBONACCI, p)
-    assert n is not None  # p never divides B = -1
+    if n is None:  # cannot happen: p never divides B = -1
+        raise InvalidArgument(f"p={p} has no Fibonacci rank of apparition")
     table = lucas_table(FIBONACCI, n)
     modulus = p * p
     lhs = lucas_harmonic_sum_mod(FIBONACCI, n, modulus, table)

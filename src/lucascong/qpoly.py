@@ -11,11 +11,17 @@ is an integer polynomial divisible by Phi_n(q)^2; ``q_certificate`` performs
 that division and returns the integer quotient G(q), which constructively
 witnesses the congruence. All divisors here are monic (up to the unit in
 Phi_1), so the arithmetic never leaves the integers.
+
+The cleared polynomial (degree about n^2/2) is built in O(n^3) list operations,
+shared with ``verify_q_prime``: T = prod_j [j]_q by running-window sums, and
+each cofactor T/[j]_q as (1-q)T/(1-q^j) by the exact recurrence r[k] += r[k-j].
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 
 from .arith import divisors, euler_phi, is_prime
 from .errors import (CongruenceFails, DivisionByZeroPoly, InexactDivision,
@@ -151,10 +157,6 @@ def _coerce(x) -> IntPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to IntPoly")
 
 
-_Q = IntPoly([0, 1])
-_ONE = IntPoly([1])
-
-
 def monomial(k: int, c: int = 1) -> IntPoly:
     """c * q^k."""
     if k < 0:
@@ -205,13 +207,37 @@ def cyclotomic_poly(n: int) -> IntPoly:
     n >= 2 (Phi_1 = q - 1)."""
     if n < 1:
         raise InvalidArgument(f"cyclotomic index must be >= 1, got {n}")
-    num = monomial(n) - _ONE
-    for d in divisors(n):
-        if d < n:
-            num, rem = poly_divmod(num, cyclotomic_poly(d))
-            assert rem.is_zero(), f"inexact cyclotomic division at n={n}, d={d}"
-    assert num.degree == euler_phi(n)
+    num = monomial(n) - 1
+    for d in divisors(n)[:-1]:
+        num, rem = poly_divmod(num, cyclotomic_poly(d))
+        if not rem.is_zero():
+            raise InexactDivision(f"inexact cyclotomic division at n={n}, d={d}")
+    if num.degree != euler_phi(n):
+        raise InexactDivision(f"Phi_{n} came out with degree {num.degree} != phi({n})")
     return num
+
+
+def _cleared_coeffs(n: int, weight: int, shifted: bool, lo: int, hi: int) -> list[int]:
+    """Coefficients of weight * sum_j c_j T/[j]_q - (lo - hi q^n)(1 - q) T,
+    where T = prod_{j<n} [j]_q and c_j = 1 + q^j if ``shifted``, else 1.
+    Each step is O(deg T) on plain lists, so the build is O(n^3)."""
+    total = [1]
+    for j in range(2, n):  # T [j]_q = T (1 - q^j)/(1 - q): running sums
+        total = list(accumulate(map(sub, total + [0] * (j - 1), [0] * j + total)))
+    t = list(map(sub, total + [0], [0] + total))  # (1 - q) T
+    s = [0] * len(t)
+    for j in range(1, n):  # T/[j]_q = t/(1 - q^j): r[k] = t[k] + r[k - j]
+        r = t[:]
+        for c in range(j):
+            r[c::j] = accumulate(r[c::j])
+        if any(r[-j:]):
+            raise InexactDivision(f"[{j}]_q does not divide prod_(k<{n}) [k]_q")
+        s = list(map(add, s, r))
+        if shifted:
+            s[j:] = map(add, s[j:], r)
+    out = [weight * a - lo * b for a, b in zip(s, t)] + [0] * n
+    out[n:] = map(add, out[n:], [hi * b for b in t])
+    return out
 
 
 def cleared_congruence_poly(n: int) -> IntPoly:
@@ -221,26 +247,11 @@ def cleared_congruence_poly(n: int) -> IntPoly:
           - (n^2 - 1) * (1 - q) * (1 - q^n) * prod_j [j]_q
 
     (j, k over 1 .. n-1). n = 1 gives 0 by the empty-sum and empty-product
-    conventions.
+    conventions. Built in O(n^3) list operations by ``_cleared_coeffs``.
     """
     if n < 1:
         raise InvalidArgument(f"needs n >= 1, got {n}")
-    qints = [q_integer_poly(j) for j in range(1, n)]
-    # prefix[i] = product of the first i q-integers; suffix likewise from the right
-    prefix = [_ONE]
-    for p in qints:
-        prefix.append(prefix[-1] * p)
-    suffix = [_ONE]
-    for p in reversed(qints):
-        suffix.append(suffix[-1] * p)
-    suffix.reverse()
-    total = prefix[-1]
-    s = IntPoly()
-    for i, j in enumerate(range(1, n)):
-        s = s + (_ONE + monomial(j)) * (prefix[i] * suffix[i + 1])
-    one_minus_q = _ONE - _Q
-    one_minus_qn = _ONE - monomial(n)
-    return 12 * s - (n * n - 1) * one_minus_q * one_minus_qn * total
+    return IntPoly(_cleared_coeffs(n, 12, True, n * n - 1, n * n - 1))
 
 
 def q_certificate(n: int) -> IntPoly:
@@ -274,21 +285,7 @@ def verify_q_prime(p: int) -> bool:
     this matches ``q_certificate`` since [p]_q = Phi_p(q)."""
     if p < 5 or not is_prime(p):
         raise InvalidArgument(f"p must be a prime >= 5, got {p}")
-    qints = [q_integer_poly(j) for j in range(1, p)]
-    prefix = [_ONE]
-    for poly in qints:
-        prefix.append(prefix[-1] * poly)
-    suffix = [_ONE]
-    for poly in reversed(qints):
-        suffix.append(suffix[-1] * poly)
-    suffix.reverse()
-    total = prefix[-1]
-    s = IntPoly()
-    for i in range(p - 1):
-        s = s + prefix[i] * suffix[i + 1]
-    one_minus_q = _ONE - _Q
-    rhs = (12 * (p - 1) * one_minus_q
-           + (p * p - 1) * one_minus_q * one_minus_q * q_integer_poly(p))
-    cleared = 24 * s - rhs * total
+    k = p * p - 1  # subtracted terms times T: (1-q) T (12(p-1) + k - k q^p)
+    cleared = IntPoly(_cleared_coeffs(p, 24, False, 12 * (p - 1) + k, k))
     _, rem = poly_divmod(cleared, q_integer_poly(p) ** 2)
     return rem.is_zero()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lucascong import cli
 from lucascong.cli import run
 
 
@@ -88,6 +89,16 @@ class TestScan:
                               "--b-min", "1", "--b-max", "1",
                               "--n-min", "9", "--n-max", "5")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_rejected(self, capsys, monkeypatch, jobs):
+        def no_cell(cell):
+            raise AssertionError("a cell ran despite invalid --jobs")
+        monkeypatch.setattr(cli, "_scan_cell", no_cell)
+        code, _, err = invoke(capsys, "scan", "--a-min", "1", "--a-max", "1",
+                              "--b-min", "1", "--b-max", "1",
+                              "--n-min", "5", "--n-max", "6", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "reports.jsonl"

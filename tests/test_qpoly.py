@@ -3,9 +3,44 @@ from hypothesis import given, settings, strategies as st
 
 from lucascong.arith import euler_phi, is_prime
 from lucascong.errors import DivisionByZeroPoly, InvalidArgument
-from lucascong.qpoly import (IntPoly, cleared_congruence_poly, cyclotomic_poly,
-                             monomial, poly_divmod, q_certificate,
-                             q_integer_poly, verify_q_prime)
+from lucascong.qpoly import (IntPoly, _cleared_coeffs, cleared_congruence_poly,
+                             cyclotomic_poly, monomial, poly_divmod,
+                             q_certificate, q_integer_poly, verify_q_prime)
+
+
+def reference_cofactor_sum(n, shifted):
+    """Slow reference builder: (sum_j c_j * prod_{k != j} [k]_q, prod_j [j]_q)
+    over j, k in 1 .. n-1 from dense prefix x suffix IntPoly products, with
+    c_j = 1 + q^j if shifted else 1. O(n^5) coefficient products."""
+    one = IntPoly([1])
+    qints = [q_integer_poly(j) for j in range(1, n)]
+    prefix = [one]
+    for p in qints:
+        prefix.append(prefix[-1] * p)
+    suffix = [one]
+    for p in reversed(qints):
+        suffix.append(suffix[-1] * p)
+    suffix.reverse()
+    s = IntPoly()
+    for i, j in enumerate(range(1, n)):
+        c = one + monomial(j) if shifted else one
+        s = s + c * (prefix[i] * suffix[i + 1])
+    return s, prefix[-1]
+
+
+def reference_cleared(n):
+    """cleared_congruence_poly(n), built the slow way."""
+    s, total = reference_cofactor_sum(n, shifted=True)
+    return 12 * s - (n * n - 1) * IntPoly([1, -1]) * (1 - monomial(n)) * total
+
+
+def reference_q_prime_cleared(p):
+    """The polynomial verify_q_prime divides by [p]_q^2, built the slow way."""
+    s, total = reference_cofactor_sum(p, shifted=False)
+    one_minus_q = IntPoly([1, -1])
+    rhs = (12 * (p - 1) * one_minus_q
+           + (p * p - 1) * one_minus_q * one_minus_q * q_integer_poly(p))
+    return 24 * s - rhs * total
 
 
 class TestIntPoly:
@@ -122,6 +157,19 @@ class TestClearedCongruence:
         with pytest.raises(InvalidArgument):
             cleared_congruence_poly(0)
 
+    def test_matches_reference_builder(self):
+        for n in range(1, 41):
+            assert cleared_congruence_poly(n) == reference_cleared(n), n
+
+    def test_unshifted_cofactor_sum_matches_reference(self):
+        # the c_j = 1 form behind verify_q_prime, bare and with its weights
+        for n in range(1, 32):
+            s, _ = reference_cofactor_sum(n, shifted=False)
+            assert IntPoly(_cleared_coeffs(n, 1, False, 0, 0)) == s, n
+            k = n * n - 1
+            kernel = _cleared_coeffs(n, 24, False, 12 * (n - 1) + k, k)
+            assert IntPoly(kernel) == reference_q_prime_cleared(n), n
+
     def test_vanishes_to_second_order_at_primitive_roots(self):
         # divisible by Phi_n twice: once for the polynomial, once for its
         # formal derivative -- checked algebraically, never numerically
@@ -140,12 +188,19 @@ class TestCertificate:
         assert q_certificate(3) == IntPoly([16, -8])
         assert q_certificate(1).is_zero()
 
-    def test_all_small_n(self):
-        for n in range(1, 65):
+    @staticmethod
+    def check_certificates(ns):
+        for n in ns:
             g = q_certificate(n)  # raises CongruenceFails on any remainder
             # specializing q -> 1 must reproduce the integer identity
             lhs = cleared_congruence_poly(n)
             assert lhs(1) == g(1) * cyclotomic_poly(n)(1) ** 2, n
+
+    def test_all_small_n(self):
+        self.check_certificates(range(1, 65))
+
+    def test_n_65_to_80(self):
+        self.check_certificates(range(65, 81))
 
     def test_check_is_discriminating(self):
         # the wrong modulus leaves a nonzero remainder, so a genuine
