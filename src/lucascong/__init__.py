@@ -11,10 +11,10 @@ Library layout:
 """
 
 from .arith import divisors, euler_phi, is_prime, jacobi, mod_inverse, rational_mod
-from .congruence import (CongruenceReport, exact_sides, lucas_harmonic_sum_mod,
-                         verify_corollary_fib, verify_kimball_webb,
-                         verify_theorem, verify_wolstenholme,
-                         wolstenholme_rhs_mod)
+from .congruence import (CongruenceReport, Status, exact_sides,
+                         lucas_harmonic_sum_mod, verify_corollary_fib,
+                         verify_kimball_webb, verify_theorem,
+                         verify_wolstenholme, wolstenholme_rhs_mod)
 from .lucas import (LucasParams, LucasTable, discriminant, lucas_pair,
                     lucas_table, rank_of_apparition)
 from .primitive import (CoprimalityReport, PrimitivePart, coprimality_report,
@@ -29,7 +29,7 @@ __all__ = [
     "euler_phi", "exact_sides", "homogeneous_cyclotomic", "is_prime", "jacobi",
     "lucas_harmonic_sum_mod", "lucas_pair", "lucas_table", "mod_inverse",
     "poly_divmod", "primitive_part", "q_certificate", "q_integer_poly",
-    "rank_of_apparition", "rational_mod", "verify_corollary_fib",
+    "rank_of_apparition", "rational_mod", "Status", "verify_corollary_fib",
     "verify_kimball_webb", "verify_q_prime", "verify_theorem",
     "verify_wolstenholme", "wolstenholme_rhs_mod",
 ]

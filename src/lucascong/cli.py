@@ -4,19 +4,37 @@ q-congruence checks, emitting machine-readable report lines.
 Output is one record per line (JSON by default, flat CSV with ``--csv``)
 with the fixed field order A, B, n, w, modulus, lhs, rhs, holds, trivial,
 degenerate, kind. Integers are rendered as decimal strings so arbitrary
-precision survives any downstream parser. Exit codes: 0 = all verified,
-1 = at least one violation / failed congruence, 2 = usage, I/O, or
-degenerate-input error.
+precision survives any downstream parser. Each record comes from one report
+status, which fixes its verdict fields and, for ``verify``, ``fib``, ``kw``
+and ``wolstenholme``, the exit code:
+
+    status          holds  trivial  degenerate  extra field          exit
+    holds           true   false    false                            0
+    trivial         true   true     false                            0
+    fails           false  false    false                            1
+    not-applicable  false  false    false       "applicable": false  0
+    degenerate      false  false    true                             2
+    error           false  false    false       "error": message     2
+
+``scan`` streams its records cell by cell in canonical (A, B, n) order, then
+writes a summary record (to stderr with ``--csv``) with the keys total (all
+records), holds (holds or trivial), trivial, degenerate and violations
+(status fails inside the n >= 5 hypothesis). It exits 1 when there is a
+violation, else 0. Usage, I/O and invalid-argument errors exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
-from .congruence import (CongruenceReport, verify_corollary_fib,
+from .congruence import (FAILS, CongruenceReport, Status, verify_corollary_fib,
                          verify_kimball_webb, verify_theorem,
                          verify_wolstenholme)
 from .errors import CongruenceFails, DegenerateSequence, InvalidArgument
@@ -26,6 +44,9 @@ from .qpoly import q_certificate
 
 FIELDS = ("A", "B", "n", "w", "modulus", "lhs", "rhs",
           "holds", "trivial", "degenerate", "kind")
+CSV_HEADER = ",".join(FIELDS) + "\n"
+EXIT_CODES = {Status.HOLDS: 0, Status.TRIVIAL: 0, Status.NOT_APPLICABLE: 0,
+              Status.FAILS: 1, Status.DEGENERATE: 2, Status.ERROR: 2}
 
 
 def _s(x):
@@ -71,17 +92,22 @@ def _render(rec: dict, csv_mode: bool) -> str:
     return ",".join(cells)
 
 
-def _csv_header() -> str:
-    return ",".join(FIELDS)
-
-
-def _emit(lines, out_path, csv_mode):
-    text = "".join(line + "\n" for line in lines)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _stream(fh, batches, kind: str, csv_mode: bool) -> Counter:
+    """Write each batch of reports as it arrives and return the summary
+    counts: total, holds, trivial, degenerate, violations, in that order."""
+    if csv_mode:
+        fh.write(CSV_HEADER)
+    counts = Counter()
+    for reports in batches:
+        for r in reports:
+            counts["total"] += 1
+            counts["holds"] += r.holds
+            counts["trivial"] += r.trivial
+            counts["degenerate"] += r.degenerate
+            counts["violations"] += r.status is FAILS and r.in_hypothesis
+        fh.write("".join(_render(report_record(r, kind), csv_mode) + "\n"
+                         for r in reports))
+    return counts
 
 
 def _params(args) -> LucasParams:
@@ -90,20 +116,11 @@ def _params(args) -> LucasParams:
 
 # --- subcommand implementations -------------------------------------------
 
-def cmd_verify(args) -> int:
-    report = verify_theorem(_params(args), args.n)
-    lines = [_csv_header()] if args.csv else []
-    lines.append(_render(report_record(report, "theorem"), args.csv))
-    _emit(lines, None, args.csv)
-    if report.degenerate or report.error is not None:
-        return 2
-    return 0 if report.holds else 1
-
-
-def _is_violation(report: CongruenceReport) -> bool:
-    return (report.in_hypothesis and report.applicable
-            and report.error is None and not report.degenerate
-            and not report.holds)
+def cmd_report(args) -> int:
+    """verify, fib, kw and wolstenholme: one report, one record."""
+    report = args.verifier(args)
+    _stream(sys.stdout, [[report]], args.kind, args.csv)
+    return EXIT_CODES[report.status]
 
 
 def _scan_cell(cell) -> list[CongruenceReport]:
@@ -125,34 +142,20 @@ def cmd_scan(args) -> int:
              for b in range(args.b_min, args.b_max + 1) if b != 0]
     if not cells:
         raise InvalidArgument("A and B ranges contain only zero")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_cell = list(pool.map(_scan_cell, cells, chunksize=4))
-    else:
-        per_cell = [_scan_cell(c) for c in cells]
-    reports = [r for chunk in per_cell for r in chunk]
-    reports.sort(key=lambda r: (r.a, r.b, r.n))
-
-    counts = {"total": 0, "holds": 0, "trivial": 0, "degenerate": 0, "violations": 0}
-    lines = [_csv_header()] if args.csv else []
-    for r in reports:
-        counts["total"] += 1
-        counts["holds"] += r.holds
-        counts["trivial"] += r.trivial
-        counts["degenerate"] += r.degenerate
-        counts["violations"] += _is_violation(r)
-        lines.append(_render(report_record(r, "theorem"), args.csv))
-    summary = json.dumps({"kind": "summary", **counts})
-    if args.csv:
-        print(summary, file=sys.stderr)
-    else:
-        lines.append(summary)
-    try:
-        _emit(lines, args.out, args.csv)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0 if counts["violations"] == 0 else 1
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    with ExitStack() as stack:
+        fh = (stack.enter_context(open(args.out, "w", encoding="utf-8"))
+              if args.out else sys.stdout)
+        if jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            per_cell = pool.map(_scan_cell, cells, chunksize=4)
+        else:
+            per_cell = map(_scan_cell, cells)
+        # cells are in canonical order and map keeps it: no sort is needed
+        counts = _stream(fh, per_cell, "theorem", args.csv)
+        print(json.dumps({"kind": "summary", **counts}),
+              file=sys.stderr if args.csv else fh)
+    return 1 if counts["violations"] else 0
 
 
 def cmd_wn(args) -> int:
@@ -164,32 +167,6 @@ def cmd_rank(args) -> int:
     r = rank_of_apparition(_params(args), args.p)
     print("none" if r is None else r)
     return 0
-
-
-def cmd_fib(args) -> int:
-    report = verify_corollary_fib(args.p)
-    lines = [_csv_header()] if args.csv else []
-    lines.append(_render(report_record(report, "corollary"), args.csv))
-    _emit(lines, None, args.csv)
-    return 0 if report.holds else 1
-
-
-def cmd_kw(args) -> int:
-    report = verify_kimball_webb(_params(args), args.p)
-    lines = [_csv_header()] if args.csv else []
-    lines.append(_render(report_record(report, "kimball-webb"), args.csv))
-    _emit(lines, None, args.csv)
-    if not report.applicable:
-        return 0
-    return 0 if report.holds else 1
-
-
-def cmd_wolstenholme(args) -> int:
-    report = verify_wolstenholme(args.p)
-    lines = [_csv_header()] if args.csv else []
-    lines.append(_render(report_record(report, "wolstenholme"), args.csv))
-    _emit(lines, None, args.csv)
-    return 0 if report.holds else 1
 
 
 def cmd_qcheck(args) -> int:
@@ -223,7 +200,9 @@ def cmd_qscan(args) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once on first use; importing the module stays cheap."""
     parser = argparse.ArgumentParser(
         prog="lucascong",
         description="Verify Wolstenholme-type congruences for Lucas sequences.")
@@ -237,11 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", action="store_true",
                        help="flat CSV output instead of JSON lines")
 
+    def add_report(p, kind, verifier):
+        add_csv(p)
+        p.set_defaults(func=cmd_report, kind=kind, verifier=verifier)
+
     p = sub.add_parser("verify", help="verify the congruence mod w_n^2")
     add_ab(p)
     p.add_argument("--n", type=int, required=True)
-    add_csv(p)
-    p.set_defaults(func=cmd_verify)
+    add_report(p, "theorem", lambda a: verify_theorem(_params(a), a.n))
 
     p = sub.add_parser("scan", help="sweep a parameter box and report violations")
     p.add_argument("--a-min", type=int, required=True)
@@ -267,19 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fib", help="Fibonacci corollary mod p^2")
     p.add_argument("--p", type=int, required=True)
-    add_csv(p)
-    p.set_defaults(func=cmd_fib)
+    add_report(p, "corollary", lambda a: verify_corollary_fib(a.p))
 
     p = sub.add_parser("kw", help="Kimball-Webb congruence mod p^2")
     add_ab(p)
     p.add_argument("--p", type=int, required=True)
-    add_csv(p)
-    p.set_defaults(func=cmd_kw)
+    add_report(p, "kimball-webb", lambda a: verify_kimball_webb(_params(a), a.p))
 
     p = sub.add_parser("wolstenholme", help="classical harmonic congruence mod p^2")
     p.add_argument("--p", type=int, required=True)
-    add_csv(p)
-    p.set_defaults(func=cmd_wolstenholme)
+    add_report(p, "wolstenholme", lambda a: verify_wolstenholme(a.p))
 
     p = sub.add_parser("qcheck", help="q-congruence certificate G(q) for one n")
     p.add_argument("--n", type=int, required=True)
@@ -293,14 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgument, DegenerateSequence) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidArgument, DegenerateSequence, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

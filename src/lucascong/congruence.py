@@ -20,30 +20,46 @@ equivalent, and this avoids factoring w_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from .arith import is_prime, mod_inverse
 from .errors import DegenerateSequence, InvalidArgument, NotInvertible
-from .lucas import LucasParams, LucasTable, lucas_table, rank_of_apparition
+from .lucas import LucasParams, LucasTable, _table_for, lucas_table, rank_of_apparition
 from .primitive import primitive_part
 
-__all__ = ["CongruenceReport", "lucas_harmonic_sum_mod", "wolstenholme_rhs_mod",
-           "exact_sides", "verify_theorem", "verify_corollary_fib",
-           "verify_kimball_webb", "verify_wolstenholme"]
+__all__ = ["CongruenceReport", "Status", "lucas_harmonic_sum_mod",
+           "wolstenholme_rhs_mod", "exact_sides", "verify_theorem",
+           "verify_corollary_fib", "verify_kimball_webb", "verify_wolstenholme"]
 
 FIBONACCI = LucasParams(1, -1)
+
+
+class Status(Enum):
+    """Verdict of one congruence verification."""
+
+    HOLDS = "holds"                    # the residues agree
+    TRIVIAL = "trivial"                # w_n = 1: holds vacuously
+    FAILS = "fails"                    # the residues differ
+    DEGENERATE = "degenerate"          # a zero term leaves the statement undefined
+    NOT_APPLICABLE = "not-applicable"  # a premise (e.g. the Kimball-Webb rank) fails
+    ERROR = "error"                    # no residue pair can be formed; see ``error``
+
+
+# Reading an Enum member off its class costs ~0.1 us, about ten times a
+# module global, and the report properties run for every record of a scan.
+HOLDS, TRIVIAL, FAILS, DEGENERATE, NOT_APPLICABLE, ERROR = Status
 
 
 @dataclass(frozen=True)
 class CongruenceReport:
     """Outcome of one congruence verification.
 
-    Residues are canonical (in [0, modulus)); ``holds`` is residue equality.
-    A trivial modulus (w_n = 1) holds vacuously. ``degenerate`` marks a zero
-    sequence term that makes the statement undefined; ``applicable`` is False
-    when a premise (e.g. the Kimball-Webb rank condition) fails; ``error``
-    carries a NotInvertible marker for out-of-hypothesis inputs where a
-    residue pair cannot be formed.
+    Residues are canonical (in [0, modulus)). ``status`` is the verdict and
+    ``holds``, ``trivial``, ``degenerate`` and ``applicable`` are read from
+    it. ``in_hypothesis`` is False when the parameters lie outside the
+    statement's hypothesis (n < 5, p < 5), whatever the status. ``error``
+    carries the NotInvertible message of an ERROR report.
     """
 
     a: int | None
@@ -53,19 +69,26 @@ class CongruenceReport:
     modulus: int
     lhs_residue: int | None
     rhs_residue: int | None
-    holds: bool
-    trivial: bool
-    degenerate: bool
+    status: Status
     rank_used: int | None = None
     in_hypothesis: bool = True
-    applicable: bool = True
     error: str | None = None
 
+    @property
+    def holds(self) -> bool:
+        return self.status is HOLDS or self.status is TRIVIAL
 
-def _table_for(params: LucasParams, n: int, table: LucasTable | None) -> LucasTable:
-    if table is not None and table.params == params and table.n >= n:
-        return table
-    return lucas_table(params, n)
+    @property
+    def trivial(self) -> bool:
+        return self.status is TRIVIAL
+
+    @property
+    def degenerate(self) -> bool:
+        return self.status is DEGENERATE
+
+    @property
+    def applicable(self) -> bool:
+        return self.status is not NOT_APPLICABLE
 
 
 def lucas_harmonic_sum_mod(params: LucasParams, n: int, m: int,
@@ -131,23 +154,21 @@ def verify_theorem(params: LucasParams, n: int,
     common = dict(a=params.a, b=params.b, n=n, in_hypothesis=n >= 5)
     if table.u[n] == 0:
         return CongruenceReport(w=0, modulus=0, lhs_residue=None, rhs_residue=None,
-                                holds=False, trivial=False, degenerate=True, **common)
+                                status=DEGENERATE, **common)
     w = primitive_part(params, n, table).w
     if w == 1:
         return CongruenceReport(w=1, modulus=1, lhs_residue=0, rhs_residue=0,
-                                holds=True, trivial=True, degenerate=False, **common)
+                                status=TRIVIAL, **common)
     modulus = w * w
     try:
         lhs = lucas_harmonic_sum_mod(params, n, modulus, table)
         rhs = wolstenholme_rhs_mod(params, n, modulus, table)
     except NotInvertible as exc:
         return CongruenceReport(w=w, modulus=modulus, lhs_residue=None,
-                                rhs_residue=None, holds=False, trivial=False,
-                                degenerate=False, error=f"NotInvertible: {exc}",
-                                **common)
+                                rhs_residue=None, status=ERROR,
+                                error=f"NotInvertible: {exc}", **common)
     return CongruenceReport(w=w, modulus=modulus, lhs_residue=lhs, rhs_residue=rhs,
-                            holds=lhs == rhs, trivial=False, degenerate=False,
-                            **common)
+                            status=HOLDS if lhs == rhs else FAILS, **common)
 
 
 def verify_corollary_fib(p: int) -> CongruenceReport:
@@ -164,8 +185,8 @@ def verify_corollary_fib(p: int) -> CongruenceReport:
     rhs = wolstenholme_rhs_mod(FIBONACCI, n, modulus, table)
     w = primitive_part(FIBONACCI, n, table).w
     return CongruenceReport(a=1, b=-1, n=n, w=w, modulus=modulus,
-                            lhs_residue=lhs, rhs_residue=rhs, holds=lhs == rhs,
-                            trivial=False, degenerate=False, rank_used=n)
+                            lhs_residue=lhs, rhs_residue=rhs,
+                            status=HOLDS if lhs == rhs else FAILS, rank_used=n)
 
 
 def verify_kimball_webb(params: LucasParams, p: int) -> CongruenceReport:
@@ -179,16 +200,15 @@ def verify_kimball_webb(params: LucasParams, p: int) -> CongruenceReport:
         raise InvalidArgument(f"p must be a prime >= 5, got {p}")
     r = rank_of_apparition(params, p)
     modulus = p * p
-    common = dict(a=params.a, b=params.b, w=p, modulus=modulus, trivial=False,
-                  degenerate=False, rank_used=r)
+    common = dict(a=params.a, b=params.b, w=p, modulus=modulus, rank_used=r)
     if r is None or not (params.delta == 0 or r == p - 1 or r == p + 1):
         return CongruenceReport(n=r if r is not None else 0, lhs_residue=None,
-                                rhs_residue=None, holds=False, applicable=False,
+                                rhs_residue=None, status=NOT_APPLICABLE,
                                 **common)
     table = lucas_table(params, r)
     lhs = lucas_harmonic_sum_mod(params, r, modulus, table)
     return CongruenceReport(n=r, lhs_residue=lhs, rhs_residue=0,
-                            holds=lhs == 0, **common)
+                            status=HOLDS if lhs == 0 else FAILS, **common)
 
 
 def verify_wolstenholme(p: int) -> CongruenceReport:
@@ -204,6 +224,5 @@ def verify_wolstenholme(p: int) -> CongruenceReport:
     modulus = p * p
     lhs = h.numerator % modulus
     return CongruenceReport(a=None, b=None, n=p, w=p, modulus=modulus,
-                            lhs_residue=lhs, rhs_residue=0, holds=lhs == 0,
-                            trivial=False, degenerate=False,
-                            in_hypothesis=p >= 5)
+                            lhs_residue=lhs, rhs_residue=0,
+                            status=HOLDS if lhs == 0 else FAILS, in_hypothesis=p >= 5)

@@ -64,6 +64,13 @@ def lucas_table(params: LucasParams, n: int) -> LucasTable:
     return LucasTable(params, u, v)
 
 
+def _table_for(params: LucasParams, n: int, table: LucasTable | None) -> LucasTable:
+    """``table`` when it belongs to ``params`` and reaches index n, else a new one."""
+    if table is not None and table.params == params and table.n >= n:
+        return table
+    return lucas_table(params, n)
+
+
 def lucas_pair(params: LucasParams, n: int) -> tuple[int, int]:
     """Single-point evaluation of (u_n, v_n) in O(log n) steps.
 

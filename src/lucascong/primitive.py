@@ -14,7 +14,7 @@ from math import gcd
 
 from .arith import divisors
 from .errors import DegenerateSequence, InvalidArgument
-from .lucas import LucasParams, LucasTable, lucas_table
+from .lucas import LucasParams, LucasTable, _table_for
 
 __all__ = ["PrimitivePart", "CoprimalityReport", "primitive_part",
            "homogeneous_cyclotomic", "coprimality_report"]
@@ -42,12 +42,6 @@ class CoprimalityReport:
     def all_coprime(self) -> bool:
         return (self.coprime_to_2 and self.coprime_to_3
                 and self.coprime_to_b and self.coprime_to_v)
-
-
-def _table_for(params: LucasParams, n: int, table: LucasTable | None) -> LucasTable:
-    if table is not None and table.params == params and table.n >= n:
-        return table
-    return lucas_table(params, n)
 
 
 def primitive_part(params: LucasParams, n: int,

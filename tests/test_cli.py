@@ -12,6 +12,39 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_cell(monkeypatch):
+    def fail(cell):
+        raise AssertionError("a scan cell ran")
+    monkeypatch.setattr(cli, "_scan_cell", fail)
+
+
+# One example per report status: its verdict fields and exit code, as in the
+# table of the cli module docstring.
+@pytest.mark.parametrize("argv, holds, trivial, degenerate, extra, code", [
+    pytest.param(["verify", "--A", "1", "--B", "-1", "--n", "7"],
+                 True, False, False, {}, 0, id="holds"),
+    pytest.param(["verify", "--A", "1", "--B", "-1", "--n", "6"],
+                 True, True, False, {}, 0, id="trivial"),
+    pytest.param(["wolstenholme", "--p", "3"],
+                 False, False, False, {}, 1, id="fails"),
+    pytest.param(["kw", "--A", "1", "--B", "-1", "--p", "5"],
+                 False, False, False, {"applicable": False}, 0, id="not-applicable"),
+    pytest.param(["verify", "--A", "2", "--B", "2", "--n", "4"],
+                 False, False, True, {}, 2, id="degenerate"),
+    pytest.param(["verify", "--A", "-8", "--B", "-8", "--n", "2"],
+                 False, False, False,
+                 {"error": "NotInvertible: 32 is not invertible modulo 64"}, 2, id="error"),
+])
+def test_status_fields_and_exit_code(capsys, argv, holds, trivial, degenerate,
+                                     extra, code):
+    got, out, _ = invoke(capsys, *argv)
+    rec = json.loads(out)
+    assert (rec["holds"], rec["trivial"], rec["degenerate"]) == (holds, trivial, degenerate)
+    assert {k: rec[k] for k in ("applicable", "error") if k in rec} == extra
+    assert got == code
+
+
 class TestVerify:
     def test_holds(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--A", "1", "--B", "-1", "--n", "7")
@@ -91,14 +124,60 @@ class TestScan:
         assert code == 2 and "error" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_nonpositive_jobs_rejected(self, capsys, monkeypatch, jobs):
-        def no_cell(cell):
-            raise AssertionError("a cell ran despite invalid --jobs")
-        monkeypatch.setattr(cli, "_scan_cell", no_cell)
+    def test_nonpositive_jobs_rejected(self, capsys, no_cell, jobs):
         code, _, err = invoke(capsys, "scan", "--a-min", "1", "--a-max", "1",
                               "--b-min", "1", "--b-max", "1",
                               "--n-min", "5", "--n-max", "6", "--jobs", jobs)
         assert code == 2 and "--jobs" in err
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        args = ["scan", "--a-min", "1", "--a-max", "2", "--b-min", "-1",
+                "--b-max", "1", "--n-min", "5", "--n-max", "8", "--jobs"]
+        _, serial, _ = invoke(capsys, *args, "1")
+        for jobs in ("2", "1000"):
+            assert invoke(capsys, *args, jobs) == (0, serial, "")
+        assert workers == [2, 3]
+
+    def test_streams_each_cell(self, capsys, monkeypatch):
+        scan_cell, before = cli._scan_cell, []
+
+        def spy(cell):
+            before.append(capsys.readouterr().out)
+            return scan_cell(cell)
+        monkeypatch.setattr(cli, "_scan_cell", spy)
+        code, _, _ = invoke(capsys, "scan", "--a-min", "1", "--a-max", "2",
+                            "--b-min", "-1", "--b-max", "-1",
+                            "--n-min", "5", "--n-max", "7", "--jobs", "1")
+        assert code == 0 and before[0] == ""
+        assert [(r["A"], r["n"]) for r in map(json.loads, before[1].splitlines())] == [
+            ("1", "5"), ("1", "6"), ("1", "7")]
+
+    def test_error_records_count_only_in_total(self, capsys):
+        code, out, _ = invoke(capsys, "scan", "--a-min", "-8", "--a-max", "-8",
+                              "--b-min", "-8", "--b-max", "-8",
+                              "--n-min", "1", "--n-max", "6")
+        lines = [json.loads(l) for l in out.strip().split("\n")]
+        assert [r["n"] for r in lines[:-1] if "error" in r] == ["2", "3"]
+        assert lines[-1] == {"kind": "summary", "total": 6, "holds": 4,
+                             "trivial": 1, "degenerate": 0, "violations": 0}
+        assert code == 0
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "reports.jsonl"
@@ -109,6 +188,14 @@ class TestScan:
         assert code == 0 and out == ""
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 5  # 4 records + summary
+
+    def test_unwritable_out_fails_before_any_cell(self, capsys, no_cell, tmp_path):
+        path = tmp_path / "missing" / "reports.jsonl"
+        code, out, err = invoke(capsys, "scan", "--a-min", "1", "--a-max", "1",
+                                "--b-min", "-1", "--b-max", "-1",
+                                "--n-min", "5", "--n-max", "8",
+                                "--out", str(path))
+        assert code == 2 and out == "" and "error" in err
 
 
 class TestSmallCommands:
