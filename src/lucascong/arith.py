@@ -1,14 +1,12 @@
-"""Exact integer and rational helpers used by every other module.
+"""Exact integer helpers used by every other module.
 
-All values are plain Python ``int`` (arbitrary precision) and
-``fractions.Fraction`` (always stored reduced, positive denominator).
-Residues are canonicalized into ``[0, m)`` so that congruence checks are
-simple equality on canonical representatives.
+All values are plain Python ``int`` (arbitrary precision); nothing here uses
+``fractions.Fraction``. Residues are canonicalized into ``[0, m)`` so that
+congruence checks are simple equality on canonical representatives.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidArgument, InvalidModulus, NotInvertible
@@ -16,7 +14,6 @@ from .errors import InvalidArgument, InvalidModulus, NotInvertible
 __all__ = [
     "gcd",
     "mod_inverse",
-    "rational_mod",
     "jacobi",
     "divisors",
     "euler_phi",
@@ -38,17 +35,6 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError:
         raise NotInvertible(f"{a} is not invertible modulo {m}") from None
-
-
-def rational_mod(r: Fraction, m: int) -> int:
-    """Reduce an exact fraction into a canonical residue in [0, m).
-
-    Requires gcd(r.denominator, m) == 1; the denominator is cleared by
-    modular inversion.
-    """
-    if m < 1:
-        raise InvalidModulus(f"modulus must be >= 1, got {m}")
-    return r.numerator * mod_inverse(r.denominator, m) % m
 
 
 def jacobi(a: int, n: int) -> int:

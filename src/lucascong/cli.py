@@ -31,7 +31,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
 from .congruence import (FAILS, CongruenceReport, Status, verify_corollary_fib,
@@ -121,6 +120,14 @@ def cmd_report(args) -> int:
     report = args.verifier(args)
     _stream(sys.stdout, [[report]], args.kind, args.csv)
     return EXIT_CODES[report.status]
+
+
+def ProcessPoolExecutor(max_workers):
+    """The process pool, imported on first use: only ``scan --jobs`` > 1 needs
+    it, and the import costs more than the rest of the CLI's start-up.
+    ``cmd_scan`` looks this name up at call time, so it can be replaced."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _scan_cell(cell) -> list[CongruenceReport]:

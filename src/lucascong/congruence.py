@@ -10,18 +10,17 @@ Kimball-Webb congruence (sum vanishes mod p^2 when delta = 0 or the rank is
 p +- 1) and the classical Wolstenholme congruence for harmonic numbers are
 verified by the same machinery.
 
-Both sides are evaluated twice: by pure modular arithmetic (one inverse per
-term, scales to large n) and, in tests, by exact rational arithmetic via
-``exact_sides``. Verification uses modulus w_n^2 directly rather than
-per-prime-power moduli: by the Chinese remainder theorem the two forms are
-equivalent, and this avoids factoring w_n.
+Both sides are evaluated by pure modular arithmetic (one inverse per term,
+scales to large n); the tests check them against exact rational arithmetic.
+Verification uses modulus w_n^2 directly rather than per-prime-power moduli:
+by the Chinese remainder theorem the two forms are equivalent, and this
+avoids factoring w_n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 
 from .arith import is_prime, mod_inverse
 from .errors import DegenerateSequence, InvalidArgument, NotInvertible
@@ -29,7 +28,7 @@ from .lucas import LucasParams, LucasTable, _table_for, lucas_table, rank_of_app
 from .primitive import primitive_part
 
 __all__ = ["CongruenceReport", "Status", "lucas_harmonic_sum_mod",
-           "wolstenholme_rhs_mod", "exact_sides", "verify_theorem",
+           "wolstenholme_rhs_mod", "verify_theorem",
            "verify_corollary_fib", "verify_kimball_webb", "verify_wolstenholme"]
 
 FIBONACCI = LucasParams(1, -1)
@@ -51,28 +50,21 @@ class Status(Enum):
 HOLDS, TRIVIAL, FAILS, DEGENERATE, NOT_APPLICABLE, ERROR = Status
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(namedtuple(
+        "CongruenceReport", "a b n w modulus lhs_residue rhs_residue status "
+        "rank_used in_hypothesis error", defaults=(None, True, None))):
     """Outcome of one congruence verification.
 
     Residues are canonical (in [0, modulus)). ``status`` is the verdict and
     ``holds``, ``trivial``, ``degenerate`` and ``applicable`` are read from
     it. ``in_hypothesis`` is False when the parameters lie outside the
     statement's hypothesis (n < 5, p < 5), whatever the status. ``error``
-    carries the NotInvertible message of an ERROR report.
+    carries the NotInvertible message of an ERROR report. ``a`` and ``b``
+    are None for the classical Wolstenholme check; ``rank_used`` is set by
+    the rank-based checks.
     """
 
-    a: int | None
-    b: int | None
-    n: int
-    w: int
-    modulus: int
-    lhs_residue: int | None
-    rhs_residue: int | None
-    status: Status
-    rank_used: int | None = None
-    in_hypothesis: bool = True
-    error: str | None = None
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -127,17 +119,6 @@ def wolstenholme_rhs_mod(params: LucasParams, n: int, m: int,
     vn = table.v[n]
     inv = mod_inverse(6 * vn % m, m)
     return (n * n - 1) * params.delta * table.u[n] * inv % m
-
-
-def exact_sides(params: LucasParams, n: int,
-                table: LucasTable | None = None) -> tuple[Fraction, Fraction]:
-    """Both sides as exact reduced rationals; the oracle for the modular path."""
-    table = _table_for(params, n, table)
-    if any(table.u[j] == 0 for j in range(1, n)) or table.v[n] == 0:
-        raise DegenerateSequence("zero denominator in the exact sides")
-    lhs = sum((Fraction(table.v[j], table.u[j]) for j in range(1, n)), Fraction(0))
-    rhs = Fraction((n * n - 1) * params.delta, 6) * Fraction(table.u[n], table.v[n])
-    return lhs, rhs
 
 
 def verify_theorem(params: LucasParams, n: int,
@@ -215,14 +196,24 @@ def verify_wolstenholme(p: int) -> CongruenceReport:
     """Classical harmonic-number check: p^2 divides the reduced numerator
     of H_{p-1} = sum_{j<p} 1/j.
 
+    H_{p-1} = N/(p-1)! is summed as one fraction with N and (p-1)! mod p^2.
+    Reducing it divides N by a factor of (p-1)!, a unit mod p, so p^2 | N
+    exactly when p^2 divides the reduced numerator. Only when it does not,
+    as for every p < 5, is the exact sum needed for the numerator's residue.
     Primes below 5 are outside the hypothesis; they produce honest
     non-holding reports (H_2 = 3/2 is not divisible by 9).
     """
     if p < 2 or not is_prime(p):
         raise InvalidArgument(f"p must be prime, got {p}")
-    h = sum((Fraction(1, j) for j in range(1, p)), Fraction(0))
     modulus = p * p
-    lhs = h.numerator % modulus
+    num, den = 0, 1  # H_{j-1} = num/den with den = (j-1)!, both mod p^2
+    for j in range(1, p):
+        num, den = (num * j + den) % modulus, den * j % modulus
+    lhs = 0
+    if num:
+        from fractions import Fraction
+        h = sum((Fraction(1, j) for j in range(1, p)), Fraction(0))
+        lhs = h.numerator % modulus
     return CongruenceReport(a=None, b=None, n=p, w=p, modulus=modulus,
                             lhs_residue=lhs, rhs_residue=0,
                             status=HOLDS if lhs == 0 else FAILS, in_hypothesis=p >= 5)

@@ -8,7 +8,7 @@ the Fibonacci and Lucas numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .arith import is_prime
 from .errors import InvalidArgument
@@ -21,33 +21,35 @@ def discriminant(a: int, b: int) -> int:
     return a * a - 4 * b
 
 
-@dataclass(frozen=True)
-class LucasParams:
+# The record types are namedtuples, not dataclasses: importing ``dataclasses``
+# and decorating the classes would add more to every CLI launch than the rest
+# of the library's import, and a tuple is built and pickled faster.
+class LucasParams(namedtuple("LucasParams", "a b")):
     """The recurrence coefficients (A, B), both nonzero."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0 or self.b == 0:
-            raise InvalidArgument(f"A and B must both be nonzero, got ({self.a}, {self.b})")
+    def __new__(cls, a: int, b: int):
+        if a == 0 or b == 0:
+            raise InvalidArgument(f"A and B must both be nonzero, got ({a}, {b})")
+        return super().__new__(cls, a, b)
 
     @property
     def delta(self) -> int:
         return discriminant(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class LucasTable:
+class LucasTable(namedtuple("LucasTable", "params u v")):
     """Prefix arrays u[0..n] and v[0..n] for one parameter pair."""
 
-    params: LucasParams
-    u: list[int] = field(repr=False)
-    v: list[int] = field(repr=False)
+    __slots__ = ()
 
     @property
     def n(self) -> int:
         return len(self.u) - 1
+
+    def __repr__(self):
+        return f"LucasTable(params={self.params!r})"
 
 
 def lucas_table(params: LucasParams, n: int) -> LucasTable:

@@ -58,9 +58,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -118,35 +115,8 @@ class IntPoly:
             exp >>= 1
         return result
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            var = "" if k == 0 else ("q" if k == 1 else f"q^{k}")
-            if k == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(var)
-            elif c == -1:
-                terms.append(f"-{var}")
-            else:
-                terms.append(f"{c}*{var}")
-        return " + ".join(terms).replace("+ -", "- ")
 
 
 def _coerce(x) -> IntPoly:

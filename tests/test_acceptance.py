@@ -8,15 +8,15 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from lucascong.arith import is_prime, rational_mod
-from lucascong.congruence import (exact_sides, lucas_harmonic_sum_mod,
-                                  verify_corollary_fib, verify_kimball_webb,
-                                  verify_theorem, verify_wolstenholme,
-                                  wolstenholme_rhs_mod)
+from lucascong.arith import is_prime
+from lucascong.congruence import (lucas_harmonic_sum_mod, verify_corollary_fib,
+                                  verify_kimball_webb, verify_theorem,
+                                  verify_wolstenholme, wolstenholme_rhs_mod)
 from lucascong.lucas import LucasParams, lucas_table
-from lucascong.primitive import homogeneous_cyclotomic, primitive_part
+from lucascong.primitive import primitive_part
 from lucascong.qpoly import (IntPoly, cyclotomic_poly, monomial, q_certificate,
                              verify_q_prime)
+from oracles import exact_sides, homogeneous_cyclotomic, rational_mod
 
 FIB = LucasParams(1, -1)
 

@@ -4,14 +4,16 @@ from math import gcd
 
 import pytest
 
-from lucascong.arith import is_prime, rational_mod
-from lucascong.congruence import (exact_sides, lucas_harmonic_sum_mod,
+from lucascong.arith import is_prime
+from lucascong.congruence import (Status, lucas_harmonic_sum_mod,
                                   verify_corollary_fib, verify_kimball_webb,
                                   verify_theorem, verify_wolstenholme,
                                   wolstenholme_rhs_mod)
 from lucascong.errors import (DegenerateSequence, InvalidArgument,
                               NotInvertible)
 from lucascong.lucas import LucasParams, lucas_table, rank_of_apparition
+from lucascong.primitive import primitive_part
+from oracles import exact_sides, rational_mod
 
 FIB = LucasParams(1, -1)
 DEG = LucasParams(2, 1)  # delta = 0, u_n = n, v_n = 2
@@ -99,6 +101,38 @@ class TestVerifyTheorem:
                 lhs, rhs = exact_sides(params, n, t)
                 assert r.lhs_residue == rational_mod(lhs, r.modulus)
                 assert r.rhs_residue == rational_mod(rhs, r.modulus)
+
+
+class TestScope:
+    """The n >= 5 hypothesis only makes w_n odd (n > 3) and prime to 3
+    (n > 4); README "Scope and errata" has the counts."""
+
+    def test_n_3_and_4_hold_when_w_is_prime_to_6(self):
+        nontrivial = 0
+        for a in range(-20, 21):
+            for b in range(-20, 21):
+                if not a or not b:
+                    continue
+                params = LucasParams(a, b)
+                t = lucas_table(params, 4)
+                for n in (3, 4):
+                    r = verify_theorem(params, n, t)
+                    assert r.status is not Status.FAILS, (a, b, n)
+                    if r.degenerate or gcd(r.w, 6) != 1:
+                        continue
+                    assert r.holds and not r.in_hypothesis, (a, b, n)
+                    nontrivial += not r.trivial
+        assert nontrivial == 834 + 1098
+
+    def test_erratum_w3_not_prime_to_v3(self):
+        # the claim (w_n, v_n) = 1 for n >= 3 fails at n = 3, where w_3 may
+        # be even; then 6 v_3 is no unit mod w_3^2 and the report is ERROR
+        params = LucasParams(-3, -3)
+        t = lucas_table(params, 3)
+        assert primitive_part(params, 3, t).w == 4 and t.v[3] == -54
+        assert gcd(4, -54) == 2
+        r = verify_theorem(params, 3, t)
+        assert r.status is Status.ERROR and r.modulus == 16
 
 
 class TestCorollaryFib:
@@ -191,6 +225,17 @@ class TestWolstenholme:
     def test_rejects_composite(self):
         with pytest.raises(InvalidArgument):
             verify_wolstenholme(15)
+
+    def test_matches_exact_numerator(self):
+        # the residue summed mod p^2 is the reduced numerator of the exact
+        # H_{p-1}, also below the hypothesis (H_1 = 1, H_2 = 3/2)
+        for p in [2, 3] + [q for q in range(5, 500) if is_prime(q)]:
+            h = sum((Fraction(1, j) for j in range(1, p)), Fraction(0))
+            r = verify_wolstenholme(p)
+            assert r.lhs_residue == h.numerator % (p * p), p
+            assert r.holds == (p >= 5) == r.in_hypothesis, p
+        assert verify_wolstenholme(2).lhs_residue == 1
+        assert verify_wolstenholme(3).lhs_residue == 3
 
 
 class TestOracleAgreement:

@@ -4,8 +4,8 @@ import pytest
 
 from lucascong.errors import DegenerateSequence, InvalidArgument
 from lucascong.lucas import LucasParams, lucas_table
-from lucascong.primitive import (coprimality_report, homogeneous_cyclotomic,
-                                 primitive_part)
+from lucascong.primitive import primitive_part
+from oracles import coprimality_report, homogeneous_cyclotomic
 
 FIB = LucasParams(1, -1)
 

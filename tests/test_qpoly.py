@@ -6,6 +6,7 @@ from lucascong.errors import DivisionByZeroPoly, InvalidArgument
 from lucascong.qpoly import (IntPoly, _cleared_coeffs, cleared_congruence_poly,
                              cyclotomic_poly, monomial, poly_divmod,
                              q_certificate, q_integer_poly, verify_q_prime)
+from oracles import derivative, evaluate
 
 
 def reference_cofactor_sum(n, shifted):
@@ -61,9 +62,9 @@ class TestIntPoly:
 
     def test_evaluate_and_derivative(self):
         p = IntPoly([1, 2, 3])  # 1 + 2q + 3q^2
-        assert p(2) == 17
-        assert p.derivative() == IntPoly([2, 6])
-        assert IntPoly([7]).derivative().is_zero()
+        assert evaluate(p, 2) == 17
+        assert derivative(p) == IntPoly([2, 6])
+        assert derivative(IntPoly([7])).is_zero()
 
     def test_immutable_and_hashable(self):
         p = IntPoly([1, 2])
@@ -112,7 +113,7 @@ class TestCyclotomic:
             phi = cyclotomic_poly(n)
             assert phi.degree == euler_phi(n)
             if n >= 2:
-                assert phi.is_monic()
+                assert phi.coeffs[-1] == 1
 
     def test_prime_index_is_q_integer(self):
         for p in (2, 3, 5, 7, 11, 13):
@@ -178,7 +179,7 @@ class TestClearedCongruence:
             phi = cyclotomic_poly(n)
             _, r1 = poly_divmod(lhs, phi)
             assert r1.is_zero(), n
-            _, r2 = poly_divmod(lhs.derivative(), phi)
+            _, r2 = poly_divmod(derivative(lhs), phi)
             assert r2.is_zero(), n
 
 
@@ -194,7 +195,8 @@ class TestCertificate:
             g = q_certificate(n)  # raises CongruenceFails on any remainder
             # specializing q -> 1 must reproduce the integer identity
             lhs = cleared_congruence_poly(n)
-            assert lhs(1) == g(1) * cyclotomic_poly(n)(1) ** 2, n
+            phi_at_1 = evaluate(cyclotomic_poly(n), 1)
+            assert evaluate(lhs, 1) == evaluate(g, 1) * phi_at_1 ** 2, n
 
     def test_all_small_n(self):
         self.check_certificates(range(1, 65))

@@ -35,3 +35,18 @@ def test_bench_spans_install(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["holds"] is True
+
+
+def test_cli_import_stays_cold():
+    # every CLI call starts a fresh interpreter, so `import lucascong.cli`
+    # must not load what only `scan --jobs` > 1 or the tests use; -S keeps
+    # site-packages hooks from loading them first
+    heavy = ["concurrent.futures", "multiprocessing", "dataclasses",
+             "fractions", "decimal"]
+    script = ("import json, sys\nimport lucascong.cli\n"
+              f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
