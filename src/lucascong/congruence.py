@@ -10,8 +10,9 @@ Kimball-Webb congruence (sum vanishes mod p^2 when delta = 0 or the rank is
 p +- 1) and the classical Wolstenholme congruence for harmonic numbers are
 verified by the same machinery.
 
-Both sides are evaluated by pure modular arithmetic (one inverse per term,
-scales to large n); the tests check them against exact rational arithmetic.
+Both sides are evaluated by pure modular arithmetic; the sum is carried as
+one fraction N/D mod m, so it takes one inverse per sum, not one per term
+(Montgomery 1987). The tests check both sides against exact rationals.
 Verification uses modulus w_n^2 directly rather than per-prime-power moduli:
 by the Chinese remainder theorem the two forms are equivalent, and this
 avoids factoring w_n.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .arith import is_prime, mod_inverse
+from .arith import gcd, is_prime, mod_inverse
 from .errors import DegenerateSequence, InvalidArgument, NotInvertible
 from .lucas import LucasParams, LucasTable, _table_for, lucas_table, rank_of_apparition
 from .primitive import primitive_part
@@ -88,24 +89,24 @@ def lucas_harmonic_sum_mod(params: LucasParams, n: int, m: int,
     """sum_{j=1}^{n-1} v_j * u_j^{-1} reduced mod m.
 
     Every u_j (1 <= j < n) must be a unit mod m; this is guaranteed when m
-    is a power of w_n.
+    is a power of w_n. The sum is carried as num/den and inverted once; only
+    when den is not a unit is the first u_j that is not one looked for.
     """
     if m < 1:
         raise InvalidArgument(f"modulus must be >= 1, got {m}")
     if m == 1:
         return 0
-    table = _table_for(params, n, table)
-    acc = 0
+    _, u, v = _table_for(params, n, table)
+    num, den = 0, 1
     for j in range(1, n):
-        uj = table.u[j]
-        if uj == 0:
-            raise DegenerateSequence(f"u_{j} = 0: the harmonic sum is undefined")
-        try:
-            inv = mod_inverse(uj % m, m)
-        except NotInvertible:
-            raise NotInvertible(f"u_{j} = {uj} shares a factor with modulus {m}") from None
-        acc = (acc + table.v[j] * inv) % m
-    return acc
+        num, den = (num * u[j] + v[j] * den) % m, den * u[j] % m
+    try:
+        return num * mod_inverse(den, m) % m
+    except NotInvertible:
+        j = next(j for j in range(1, n) if gcd(u[j], m) != 1)
+    if u[j] == 0:
+        raise DegenerateSequence(f"u_{j} = 0: the harmonic sum is undefined")
+    raise NotInvertible(f"u_{j} = {u[j]} shares a factor with modulus {m}")
 
 
 def wolstenholme_rhs_mod(params: LucasParams, n: int, m: int,

@@ -1,7 +1,8 @@
 """Slow, independent reference computations that only the tests call.
 
 Each one checks a fast path of the library from a different direction:
-exact rationals for the modular sums, the recursive cyclotomic values for
+exact rationals and one inverse per term for the modular sums, the
+recursive cyclotomic values and the strip against every earlier term for
 the primitive parts, and the coefficient-wise operations on ``IntPoly`` for
 the certificate divisions.
 """
@@ -13,7 +14,8 @@ from fractions import Fraction
 from math import gcd
 
 from lucascong.arith import divisors, mod_inverse
-from lucascong.errors import DegenerateSequence, InvalidArgument, InvalidModulus
+from lucascong.errors import (DegenerateSequence, InvalidArgument, InvalidModulus,
+                              NotInvertible)
 from lucascong.lucas import LucasParams, LucasTable, _table_for
 from lucascong.primitive import primitive_part
 from lucascong.qpoly import IntPoly
@@ -39,6 +41,47 @@ def exact_sides(params: LucasParams, n: int,
     lhs = sum((Fraction(table.v[j], table.u[j]) for j in range(1, n)), Fraction(0))
     rhs = Fraction((n * n - 1) * params.delta, 6) * Fraction(table.u[n], table.v[n])
     return lhs, rhs
+
+
+def harmonic_sum_per_term(params: LucasParams, n: int, m: int,
+                          table: LucasTable | None = None) -> int:
+    """sum_{j<n} v_j/u_j mod m with one inverse per term, raising at the
+    first u_j that is zero or not a unit mod m."""
+    if m < 1:
+        raise InvalidModulus(f"modulus must be >= 1, got {m}")
+    if m == 1:
+        return 0
+    table = _table_for(params, n, table)
+    acc = 0
+    for j in range(1, n):
+        uj = table.u[j]
+        if uj == 0:
+            raise DegenerateSequence(f"u_{j} = 0: the harmonic sum is undefined")
+        try:
+            inv = mod_inverse(uj % m, m)
+        except NotInvertible:
+            raise NotInvertible(f"u_{j} = {uj} shares a factor with modulus {m}") from None
+        acc = (acc + table.v[j] * inv) % m
+    return acc
+
+
+def primitive_part_by_strip(params: LucasParams, n: int,
+                            table: LucasTable | None = None) -> int:
+    """w_n by the definition: strip |u_n| against every u_j, j < n; a zero
+    earlier term gives 1."""
+    table = _table_for(params, n, table)
+    if table.u[n] == 0:
+        raise DegenerateSequence(f"u_{n} = 0: the primitive part is undefined")
+    w = abs(table.u[n])
+    for j in range(1, n):
+        uj = table.u[j]
+        if uj == 0:
+            return 1
+        g = gcd(w, uj)
+        while g > 1:
+            w //= g
+            g = gcd(w, uj)
+    return w
 
 
 def homogeneous_cyclotomic(params: LucasParams, n: int,

@@ -5,7 +5,7 @@ import pytest
 from lucascong.errors import DegenerateSequence, InvalidArgument
 from lucascong.lucas import LucasParams, lucas_table
 from lucascong.primitive import primitive_part
-from oracles import coprimality_report, homogeneous_cyclotomic
+from oracles import coprimality_report, homogeneous_cyclotomic, primitive_part_by_strip
 
 FIB = LucasParams(1, -1)
 
@@ -28,6 +28,21 @@ class TestPrimitivePart:
     def test_rejects_n_zero(self):
         with pytest.raises(InvalidArgument):
             primitive_part(FIB, 0)
+
+    def test_strip_rule_traps(self):
+        # gcd(A, B) = 20: its primes reach u_3 = 420 through u_2 = -20, not
+        # through a prime of n; stripping only the primes of n would keep 420
+        p = LucasParams(-20, -20)
+        assert lucas_table(p, 3).u[3] == 420
+        assert primitive_part(p, 3).w == 21 == primitive_part_by_strip(p, 3)
+        # a prime of n that no earlier term has stays: F_5 = 5
+        assert primitive_part(FIB, 5).w == 5
+        # F_12 = 144: 2 | F_3 = F_{12/2/2} and 3 | F_4 = F_{12/3}
+        assert primitive_part(FIB, 12).w == 1
+        # delta = 0: u_n = n, so w_n = n at a prime and 1 at a prime power
+        # or a product of two primes
+        deg = LucasParams(2, 1)
+        assert [primitive_part(deg, n).w for n in (2, 5, 7, 9, 12, 97)] == [2, 5, 7, 1, 1, 97]
 
     def test_definition_brute_force(self, small_grid):
         # every divisor of |u_n| coprime to all earlier terms divides w_n
