@@ -133,8 +133,12 @@ def ProcessPoolExecutor(max_workers):
 def _scan_cell(cell) -> list[CongruenceReport]:
     a, b, n_min, n_max = cell
     params = LucasParams(a, b)
-    table = lucas_table(params, n_max)
-    return [verify_theorem(params, n, table) for n in range(n_min, n_max + 1)]
+    _, u, v = table = lucas_table(params, n_max)
+    reports, num, den = [], 0, 1  # num/den = sum of v_j/u_j, n_min <= j < n
+    for n in range(n_min, n_max + 1):
+        reports.append(verify_theorem(params, n, table, (n_min, num, den)))
+        num, den = num * u[n] + v[n] * den, den * u[n]
+    return reports
 
 
 def cmd_scan(args) -> int:

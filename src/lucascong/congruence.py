@@ -12,7 +12,9 @@ verified by the same machinery.
 
 Both sides are evaluated by pure modular arithmetic; the sum is carried as
 one fraction N/D mod m, so it takes one inverse per sum, not one per term
-(Montgomery 1987). The tests check both sides against exact rationals.
+(Montgomery 1987). A scan of consecutive n passes the exact tail of the sum
+from its first n (``tail``), so each n adds only the terms below that first
+n mod m. The tests check both sides against exact rationals.
 Verification uses modulus w_n^2 directly rather than per-prime-power moduli:
 by the Chinese remainder theorem the two forms are equivalent, and this
 avoids factoring w_n.
@@ -85,20 +87,24 @@ class CongruenceReport(namedtuple(
 
 
 def lucas_harmonic_sum_mod(params: LucasParams, n: int, m: int,
-                           table: LucasTable | None = None) -> int:
+                           table: LucasTable | None = None,
+                           tail: tuple[int, int, int] | None = None) -> int:
     """sum_{j=1}^{n-1} v_j * u_j^{-1} reduced mod m.
 
     Every u_j (1 <= j < n) must be a unit mod m; this is guaranteed when m
     is a power of w_n. The sum is carried as num/den and inverted once; only
     when den is not a unit is the first u_j that is not one looked for.
+    ``tail = (k, num, den)`` gives the terms k <= j < n exactly, with den =
+    prod u_j, so only the terms j < k are added mod m.
     """
     if m < 1:
         raise InvalidArgument(f"modulus must be >= 1, got {m}")
     if m == 1:
         return 0
     _, u, v = _table_for(params, n, table)
-    num, den = 0, 1
-    for j in range(1, n):
+    k, num, den = tail or (n, 0, 1)
+    num, den = num % m, den % m
+    for j in range(1, k):
         num, den = (num * u[j] + v[j] * den) % m, den * u[j] % m
     try:
         return num * mod_inverse(den, m) % m
@@ -122,13 +128,13 @@ def wolstenholme_rhs_mod(params: LucasParams, n: int, m: int,
     return (n * n - 1) * params.delta * table.u[n] * inv % m
 
 
-def verify_theorem(params: LucasParams, n: int,
-                   table: LucasTable | None = None) -> CongruenceReport:
+def verify_theorem(params: LucasParams, n: int, table: LucasTable | None = None,
+                   tail: tuple[int, int, int] | None = None) -> CongruenceReport:
     """Verify the harmonic congruence mod w_n^2 for one parameter triple.
 
     n < 5 is permitted for exploration; the report flags it as outside the
     n >= 5 hypothesis rather than erroring. All failure modes are encoded
-    in the report.
+    in the report. ``tail`` is passed on to ``lucas_harmonic_sum_mod``.
     """
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
@@ -143,7 +149,7 @@ def verify_theorem(params: LucasParams, n: int,
                                 status=TRIVIAL, **common)
     modulus = w * w
     try:
-        lhs = lucas_harmonic_sum_mod(params, n, modulus, table)
+        lhs = lucas_harmonic_sum_mod(params, n, modulus, table, tail)
         rhs = wolstenholme_rhs_mod(params, n, modulus, table)
     except NotInvertible as exc:
         return CongruenceReport(w=w, modulus=modulus, lhs_residue=None,

@@ -43,6 +43,11 @@ def primitive_part(params: LucasParams, n: int,
     A^{j-1} (mod q) gives q | A = u_2. If not, the zeros of u mod q are the
     multiples of the rank of q, which properly divides n, so divides some
     n/r, and q | u_{n/r}.
+
+    Only u_1..u_6 can be zero: u_j = 0 means (alpha/beta)^j = 1, a root of
+    unity of order 1, 2, 3, 4 or 6 in a quadratic field. Order 1 is delta = 0,
+    where u_j = j * alpha^(j-1) != 0; order 2 needs A = 0; orders 3, 4 and 6
+    are A^2 = B, 2B and 3B, with the first zero at u_3, u_4 and u_6.
     """
     if n < 1:
         raise InvalidArgument(f"primitive part needs n >= 1, got {n}")
@@ -51,7 +56,7 @@ def primitive_part(params: LucasParams, n: int,
     if un == 0:
         raise DegenerateSequence(f"u_{n} = 0 for (A, B) = ({params.a}, {params.b}); "
                                  "the primitive part is undefined")
-    w = 1 if 0 in table.u[1:n] else abs(un)
+    w = 1 if 0 in table.u[1:min(n, 7)] else abs(un)
     for j in _strip_indices(n):
         while (g := gcd(w, table.u[j])) > 1:
             w //= g

@@ -25,6 +25,17 @@ class TestPrimitivePart:
         # u_4 = 0 for (2, 2), so every later primitive part collapses to 1
         assert primitive_part(LucasParams(2, 2), 5).w == 1
 
+    def test_zero_terms_only_at_orders_3_4_6(self):
+        # u_j = 0 exactly when alpha/beta is a root of unity of order 3, 4
+        # or 6, that is A^2 = B, 2B or 3B, so primitive_part looks at u_1..u_6
+        for a in range(-20, 21):
+            for b in range(-20, 21):
+                if a and b:
+                    u = lucas_table(LucasParams(a, b), 60).u
+                    first = next((j for j in range(1, 61) if u[j] == 0), None)
+                    order = {b: 3, 2 * b: 4, 3 * b: 6}.get(a * a)
+                    assert first == order, (a, b)
+
     def test_rejects_n_zero(self):
         with pytest.raises(InvalidArgument):
             primitive_part(FIB, 0)
