@@ -30,6 +30,14 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def exact_tail(t, k, n):
+    """(k, num, den) with num/den = sum_{k <= j < n} v_j/u_j, den = prod u_j."""
+    num, den = 0, 1
+    for j in range(k, n):
+        num, den = num * t.u[j] + t.v[j] * den, den * t.u[j]
+    return k, num, den
+
+
 def test_w_matches_strip_oracle():
     for params in params_grid(6):
         t = lucas_table(params, 120)
@@ -58,24 +66,19 @@ def test_sum_matches_per_term_oracle():
 
 @settings(max_examples=40, deadline=None)
 @given(a=st.integers(-10**6, 10**6).filter(bool), b=st.integers(-10**6, 10**6).filter(bool),
-       n=st.integers(1, 60))
-def test_kernel_matches_oracles_on_large_parameters(a, b, n):
+       n=st.integers(1, 60), data=st.data())
+def test_kernel_matches_oracles_on_large_parameters(a, b, n, data):
     params = LucasParams(a, b)
     t = lucas_table(params, n)
     if not t.u[n]:
         return
     w = primitive_part(params, n, t).w
     assert w == primitive_part_by_strip(params, n, t)
-    assert (outcome(lucas_harmonic_sum_mod, params, n, w * w, t)
-            == outcome(harmonic_sum_per_term, params, n, w * w, t))
-
-
-def exact_tail(t, k, n):
-    """(k, num, den) with num/den = sum_{k <= j < n} v_j/u_j, den = prod u_j."""
-    num, den = 0, 1
-    for j in range(k, n):
-        num, den = num * t.u[j] + t.v[j] * den, den * t.u[j]
-    return k, num, den
+    tail = exact_tail(t, data.draw(st.integers(1, n)), n)
+    for m in (w * w, t.u[n] ** 2):
+        want = outcome(harmonic_sum_per_term, params, n, m, t)
+        assert outcome(lucas_harmonic_sum_mod, params, n, m, t) == want, m
+        assert outcome(lucas_harmonic_sum_mod, params, n, m, t, tail) == want, (tail[0], m)
 
 
 def test_scan_cell_matches_sums_without_tail():
@@ -87,20 +90,6 @@ def test_scan_cell_matches_sums_without_tail():
         t = lucas_table(params, hi)
         assert _scan_cell(cell) == [verify_theorem(params, n, t)
                                     for n in range(lo, hi + 1)], cell
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=st.integers(-10**6, 10**6).filter(bool), b=st.integers(-10**6, 10**6).filter(bool),
-       n=st.integers(1, 60), data=st.data())
-def test_sum_with_tail_matches_per_term_oracle(a, b, n, data):
-    params = LucasParams(a, b)
-    t = lucas_table(params, n)
-    if not t.u[n]:
-        return
-    tail = exact_tail(t, data.draw(st.integers(1, n)), n)
-    for m in (primitive_part(params, n, t).w ** 2, t.u[n] ** 2):
-        assert (outcome(lucas_harmonic_sum_mod, params, n, m, t, tail)
-                == outcome(harmonic_sum_per_term, params, n, m, t)), (tail[0], m)
 
 
 def test_scan_cell_passes_tail_from_first_n(monkeypatch):
