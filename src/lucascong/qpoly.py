@@ -1,16 +1,15 @@
 """Integer polynomials in q: q-integers, cyclotomic polynomials, and the
 divisibility certificates behind the q-analogue congruences.
 
-The q-integer [n]_q = 1 + q + ... + q^{n-1}. Cyclotomic polynomials are
-built by exact division of q^n - 1 by the lower-order factors. The cleared
-congruence polynomial
+The q-integer [n]_q = 1 + q + ... + q^{n-1}. The cleared congruence polynomial
 
     (12 * sum_j (1 + q^j)/[j]_q - (n^2-1)(1-q)(1-q^n)) * prod_j [j]_q
 
 is an integer polynomial divisible by Phi_n(q)^2; ``q_certificate`` performs
 that division and returns the integer quotient G(q), which constructively
-witnesses the congruence. All divisors here are monic (up to the unit in
-Phi_1), so the arithmetic never leaves the integers.
+witnesses the congruence. Products and quotients by Phi_n(q)^k run in integers
+as O(deg) passes over the factors q^d - 1 of the Moebius product for Phi_n;
+the long division only runs to name the remainder of an inexact one.
 
 The cleared polynomial (degree about n^2/2) is built in O(n^3) list operations,
 shared with ``verify_q_prime``: T = prod_j [j]_q by running-window sums, and
@@ -19,9 +18,9 @@ each cofactor T/[j]_q as (1-q)T/(1-q^j) by the exact recurrence r[k] += r[k-j].
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import add, sub
+from operator import add, neg, sub
 
 from .arith import divisors, euler_phi, is_prime
 from .errors import (CongruenceFails, DivisionByZeroPoly, InexactDivision,
@@ -106,14 +105,7 @@ class IntPoly:
     def __pow__(self, exp: int):
         if exp < 0:
             raise InvalidArgument("negative polynomial power")
-        result = IntPoly([1])
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
+        return reduce(IntPoly.__mul__, [self] * exp, IntPoly([1]))
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"
@@ -127,13 +119,6 @@ def _coerce(x) -> IntPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to IntPoly")
 
 
-def monomial(k: int, c: int = 1) -> IntPoly:
-    """c * q^k."""
-    if k < 0:
-        raise InvalidArgument("negative exponent")
-    return IntPoly([0] * k + [c])
-
-
 def q_integer_poly(n: int) -> IntPoly:
     """[n]_q = 1 + q + ... + q^{n-1}; n = 0 is the empty sum."""
     if n < 0:
@@ -142,13 +127,9 @@ def q_integer_poly(n: int) -> IntPoly:
 
 
 def poly_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Long division: a = q*b + r with deg r < deg b.
-
-    Stays in integer arithmetic; every divisor used in this module is monic,
-    for which the division is always exact coefficient-wise. A non-monic
-    divisor whose leading coefficient fails to divide some intermediate
-    leading term raises InexactDivision.
-    """
+    """Long division: a = q*b + r with deg r < deg b, in integers. A divisor
+    whose leading coefficient fails to divide some intermediate leading term
+    raises InexactDivision; a monic one never does."""
     if b.is_zero():
         raise DivisionByZeroPoly("polynomial division by zero")
     if a.degree < b.degree:
@@ -170,21 +151,38 @@ def poly_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return IntPoly(quot), IntPoly(rem[:db])
 
 
+def _times_phi_power(c, n: int, k: int) -> list[int] | None:
+    """c * Phi_n(q)^k on coefficient lists, or None if k < 0 and the division
+    is not exact. With Phi_n = prod_{d|n} (q^d - 1)^mu(n/d), multiply |k| times
+    by each q^d - 1 with mu(n/d) k > 0, then divide |k| times by the others:
+    g[i] = g[i - d] - c[i], exact iff the top d entries vanish. Phi_n^|k|
+    divides c iff the quotient product divides c times the multiplied one."""
+    mus = {n: 1}  # d -> mu(n/d) over the d | n with n/d squarefree
+    for r in filter(is_prime, divisors(n)):
+        mus.update({d // r: -mu for d, mu in mus.items()})
+    c = list(c)
+    for d in [d for d, mu in mus.items() if mu * k > 0] * abs(k):
+        c = list(map(sub, [0] * d + c, c + [0] * d))
+    for d in [d for d, mu in mus.items() if mu * k < 0] * abs(k):
+        for r in range(d):
+            c[r::d] = accumulate(map(neg, c[r::d]))
+        if any(c[-d:]):
+            return None
+        del c[-d:]
+    return c
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial Phi_n(q), via exact division of
-    q^n - 1 by the Phi_d for proper divisors d. Degree phi(n); monic for
-    n >= 2 (Phi_1 = q - 1)."""
+    """The n-th cyclotomic polynomial Phi_n(q) = prod_{d | n} (q^d - 1)^mu(n/d),
+    built from 1 by the passes of ``_times_phi_power``. Degree phi(n); monic
+    for n >= 2 (Phi_1 = q - 1)."""
     if n < 1:
         raise InvalidArgument(f"cyclotomic index must be >= 1, got {n}")
-    num = monomial(n) - 1
-    for d in divisors(n)[:-1]:
-        num, rem = poly_divmod(num, cyclotomic_poly(d))
-        if not rem.is_zero():
-            raise InexactDivision(f"inexact cyclotomic division at n={n}, d={d}")
-    if num.degree != euler_phi(n):
-        raise InexactDivision(f"Phi_{n} came out with degree {num.degree} != phi({n})")
-    return num
+    phi = IntPoly(_times_phi_power([1], n, 1))
+    if phi.degree != euler_phi(n):
+        raise InexactDivision(f"Phi_{n} came out with degree {phi.degree} != phi({n})")
+    return phi
 
 
 def _cleared_coeffs(n: int, weight: int, shifted: bool, lo: int, hi: int) -> list[int]:
@@ -228,21 +226,19 @@ def q_certificate(n: int) -> IntPoly:
     """Divide the cleared congruence polynomial exactly by Phi_n(q)^2 and
     return the integer quotient G(q).
 
-    A nonzero remainder means the congruence fails (or the implementation
-    is wrong); it is raised as CongruenceFails carrying the remainder, never
-    swallowed.
+    It runs as the (q^d - 1) passes of ``_times_phi_power``. If they find it
+    inexact, the remainder of the long division is raised as CongruenceFails.
     """
     if n < 1:
         raise InvalidArgument(f"needs n >= 1, got {n}")
     lhs = cleared_congruence_poly(n)
-    if lhs.is_zero():
-        return IntPoly()
-    g, rem = poly_divmod(lhs, cyclotomic_poly(n) ** 2)
-    if not rem.is_zero():
+    g = _times_phi_power(lhs.coeffs, n, -2)
+    if g is None:
+        rem = poly_divmod(lhs, cyclotomic_poly(n) ** 2)[1]
         raise CongruenceFails(
             f"cleared congruence polynomial for n={n} is not divisible by "
             f"Phi_{n}(q)^2; remainder {rem!r}", remainder=rem)
-    return g
+    return IntPoly(g)
 
 
 def verify_q_prime(p: int) -> bool:
@@ -251,11 +247,10 @@ def verify_q_prime(p: int) -> bool:
 
         24 * sum_{j<p} 1/[j]_q - 12(p-1)(1-q) - (p^2-1)(1-q)^2 [p]_q
 
-    by prod_{j<p} [j]_q and test exact divisibility by [p]_q^2. For prime p
-    this matches ``q_certificate`` since [p]_q = Phi_p(q)."""
+    by prod_{j<p} [j]_q and test exact divisibility by [p]_q^2 = Phi_p(q)^2:
+    twice times q - 1, then twice by q^p - 1 (``_times_phi_power``)."""
     if p < 5 or not is_prime(p):
         raise InvalidArgument(f"p must be a prime >= 5, got {p}")
     k = p * p - 1  # subtracted terms times T: (1-q) T (12(p-1) + k - k q^p)
-    cleared = IntPoly(_cleared_coeffs(p, 24, False, 12 * (p - 1) + k, k))
-    _, rem = poly_divmod(cleared, q_integer_poly(p) ** 2)
-    return rem.is_zero()
+    cleared = _cleared_coeffs(p, 24, False, 12 * (p - 1) + k, k)
+    return _times_phi_power(cleared, p, -2) is not None

@@ -3,14 +3,16 @@
 Each one checks a fast path of the library from a different direction:
 exact rationals and one inverse per term for the modular sums, the
 recursive cyclotomic values and the strip against every earlier term for
-the primitive parts, and the coefficient-wise operations on ``IntPoly`` for
-the certificate divisions.
+the primitive parts, the recursive long division for the cyclotomic
+polynomials, and the coefficient-wise operations on ``IntPoly`` for the
+certificate divisions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from lucascong.arith import divisors, mod_inverse
@@ -18,7 +20,7 @@ from lucascong.errors import (DegenerateSequence, InvalidArgument, InvalidModulu
                               NotInvertible)
 from lucascong.lucas import LucasParams, LucasTable, _table_for
 from lucascong.primitive import primitive_part
-from lucascong.qpoly import IntPoly
+from lucascong.qpoly import IntPoly, poly_divmod
 
 
 def rational_mod(r: Fraction, m: int) -> int:
@@ -143,6 +145,25 @@ def coprimality_report(params: LucasParams, n: int,
                              coprime_to_3=gcd(w, 3) == 1,
                              coprime_to_b=gcd(w, params.b) == 1,
                              coprime_to_v=gcd(w, table.v[n]) == 1)
+
+
+def monomial(k: int, c: int = 1) -> IntPoly:
+    """c * q^k."""
+    if k < 0:
+        raise InvalidArgument("negative exponent")
+    return IntPoly([0] * k + [c])
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> IntPoly:
+    """Phi_n(q) by exact long division of q^n - 1 by every Phi_d, d a proper
+    divisor of n, each built the same way."""
+    num = monomial(n) - 1
+    for d in divisors(n)[:-1]:
+        num, rem = poly_divmod(num, cyclotomic_by_division(d))
+        if not rem.is_zero():
+            raise InvalidArgument(f"inexact cyclotomic division at n={n}, d={d}")
+    return num
 
 
 def derivative(p: IntPoly) -> IntPoly:

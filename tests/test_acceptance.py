@@ -14,9 +14,8 @@ from lucascong.congruence import (lucas_harmonic_sum_mod, verify_corollary_fib,
                                   verify_wolstenholme, wolstenholme_rhs_mod)
 from lucascong.lucas import LucasParams, lucas_table
 from lucascong.primitive import primitive_part
-from lucascong.qpoly import (IntPoly, cyclotomic_poly, monomial, q_certificate,
-                             verify_q_prime)
-from oracles import exact_sides, homogeneous_cyclotomic, rational_mod
+from lucascong.qpoly import IntPoly, cyclotomic_poly, q_certificate, verify_q_prime
+from oracles import exact_sides, homogeneous_cyclotomic, monomial, rational_mod
 
 FIB = LucasParams(1, -1)
 

@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lucascong import cli, qpoly
 from lucascong.arith import euler_phi, is_prime
-from lucascong.errors import DivisionByZeroPoly, InvalidArgument
-from lucascong.qpoly import (IntPoly, _cleared_coeffs, cleared_congruence_poly,
-                             cyclotomic_poly, monomial, poly_divmod,
-                             q_certificate, q_integer_poly, verify_q_prime)
-from oracles import derivative, evaluate
+from lucascong.errors import CongruenceFails, DivisionByZeroPoly, InvalidArgument
+from lucascong.qpoly import (IntPoly, _cleared_coeffs, _times_phi_power,
+                             cleared_congruence_poly, cyclotomic_poly,
+                             poly_divmod, q_certificate, q_integer_poly,
+                             verify_q_prime)
+from oracles import cyclotomic_by_division, derivative, evaluate, monomial
 
 
 def reference_cofactor_sum(n, shifted):
@@ -115,6 +117,10 @@ class TestCyclotomic:
             if n >= 2:
                 assert phi.coeffs[-1] == 1
 
+    def test_matches_recursive_division(self):
+        for n in range(1, 129):
+            assert cyclotomic_poly(n) == cyclotomic_by_division(n), n
+
     def test_prime_index_is_q_integer(self):
         for p in (2, 3, 5, 7, 11, 13):
             assert cyclotomic_poly(p) == q_integer_poly(p)
@@ -146,6 +152,41 @@ class TestDivMod:
         q, r = poly_divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+class TestPhiPowerPasses:
+    """``_times_phi_power`` against the long division and the dense product
+    by the recursively divided Phi_n^|k|."""
+
+    X = IntPoly([3, -1, 4, 1, -5, 9, 2, -6])
+
+    def test_multiplies(self):
+        for n in range(1, 41):
+            phi = cyclotomic_by_division(n)
+            for k in (1, 2):
+                got = _times_phi_power(self.X.coeffs, n, k)
+                assert IntPoly(got) == self.X * phi ** k, (n, k)
+
+    def test_divides_like_long_division(self):
+        for n in range(1, 41):
+            phi = cyclotomic_by_division(n)
+            for m in (2, 3):
+                c = self.X * phi ** m
+                for bad in (c, c + monomial(c.degree // 2)):
+                    for k in (-3, -2, -1):
+                        got = _times_phi_power(bad.coeffs, n, k)
+                        quot, rem = poly_divmod(bad, phi ** -k)
+                        if rem.is_zero():
+                            assert got is not None and IntPoly(got) == quot, (n, m, k)
+                        else:
+                            assert got is None, (n, m, k)
+                assert _times_phi_power(c.coeffs, n, -m - 1) is None, (n, m)
+
+    def test_perturbed_cleared_polynomial_is_inexact(self):
+        for n in range(2, 41):
+            c = list(cleared_congruence_poly(n).coeffs)
+            c[len(c) // 2] += 1
+            assert _times_phi_power(c, n, -2) is None, n
 
 
 class TestClearedCongruence:
@@ -204,12 +245,56 @@ class TestCertificate:
     def test_n_65_to_80(self):
         self.check_certificates(range(65, 81))
 
+    @pytest.mark.parametrize("n", [96, 127, 128])
+    def test_large_n_matches_long_division(self, n):
+        g, rem = poly_divmod(cleared_congruence_poly(n), cyclotomic_poly(n) ** 2)
+        assert rem.is_zero()
+        assert q_certificate(n) == g
+
     def test_check_is_discriminating(self):
         # the wrong modulus leaves a nonzero remainder, so a genuine
         # counterexample could not slip through the divisibility check
         _, rem = poly_divmod(cleared_congruence_poly(2),
                              cyclotomic_poly(3) ** 2)
         assert not rem.is_zero()
+
+
+class TestFailurePath:
+    """A cleared polynomial off by q^(deg/2) must be reported, with the
+    remainder of the long division by Phi_n^2."""
+
+    N = 12
+
+    @pytest.fixture
+    def perturbed(self, monkeypatch):
+        good = qpoly.cleared_congruence_poly(self.N)
+        bad = good + monomial(good.degree // 2)
+        monkeypatch.setattr(qpoly, "cleared_congruence_poly", lambda n: bad)
+        return poly_divmod(bad, cyclotomic_poly(self.N) ** 2)[1]
+
+    def test_certificate_raises_with_remainder(self, perturbed):
+        assert not perturbed.is_zero()
+        with pytest.raises(CongruenceFails) as info:
+            q_certificate(self.N)
+        assert info.value.remainder == perturbed
+
+    def test_qcheck_exits_1_naming_remainder(self, perturbed, capsys):
+        assert cli.run(["qcheck", "--n", str(self.N)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nonzero remainder: {list(perturbed.coeffs)}\n"
+
+    def test_q_prime_rejects_perturbed_cleared(self, monkeypatch):
+        kernel = qpoly._cleared_coeffs
+
+        def perturbed(*args):
+            c = kernel(*args)
+            c[len(c) // 2] += 1
+            return c
+
+        monkeypatch.setattr(qpoly, "_cleared_coeffs", perturbed)
+        for p in (5, 7, 13):
+            assert not verify_q_prime(p), p
 
 
 class TestQPrime:
