@@ -180,6 +180,7 @@ class TestPhiPowerPasses:
                             assert got is not None and IntPoly(got) == quot, (n, m, k)
                         else:
                             assert got is None, (n, m, k)
+                # X has no cyclotomic factor, so one more power never divides
                 assert _times_phi_power(c.coeffs, n, -m - 1) is None, (n, m)
 
     def test_perturbed_cleared_polynomial_is_inexact(self):
@@ -287,12 +288,12 @@ class TestFailurePath:
     def test_q_prime_rejects_perturbed_cleared(self, monkeypatch):
         kernel = qpoly._cleared_coeffs
 
-        def perturbed(*args):
+        def off_by_one(*args):
             c = kernel(*args)
             c[len(c) // 2] += 1
             return c
 
-        monkeypatch.setattr(qpoly, "_cleared_coeffs", perturbed)
+        monkeypatch.setattr(qpoly, "_cleared_coeffs", off_by_one)
         for p in (5, 7, 13):
             assert not verify_q_prime(p), p
 
